@@ -265,11 +265,6 @@ class VotingProtocol(ReplicationProtocol):
         """Sites that store block contents (non-witnesses)."""
         return list(self._data_ids)
 
-    @property
-    def witness_ids(self) -> List[SiteId]:
-        """Vote-only sites."""
-        return [s for s in self.site_ids if s not in set(self._data_ids)]
-
     # -- dynamic membership (joint quorums during the window) -----------------
 
     def install_view(self, view: 'View') -> None:
@@ -412,12 +407,6 @@ class VotingProtocol(ReplicationProtocol):
         # vote is appended in place rather than after a defensive copy.
         replies[origin.site_id] = origin.block_version(block)
         return replies
-
-    @staticmethod
-    def _best_voter(versions: Dict[SiteId, int]) -> SiteId:
-        """The voter holding the highest version (lowest id on ties)."""
-        top = max(versions.values())
-        return min(s for s, v in versions.items() if v == top)
 
     # -- Figure 3: READ -------------------------------------------------------
 

@@ -230,7 +230,8 @@ def scrub_replicas(protocol: ReplicationProtocol) -> ScrubReport:
     reachable copy.
 
     Repairs use one block-transfer transmission per stale block, sourced
-    from a site holding the group-maximum version; corrupt copies are
+    from the newest verified copy, and only when that copy is strictly
+    newer than the lagging one; corrupt copies are
     healed the same way from a checksum-verified peer holding at least
     the damaged copy's version.
     """
@@ -252,13 +253,20 @@ def scrub_replicas(protocol: ReplicationProtocol) -> ScrubReport:
 def _repair(protocol: ReplicationProtocol, report: ScrubReport) -> None:
     sites_by_id = {s.site_id: s for s in protocol.sites}
     for site_id, blocks in sorted(report.stale.items()):
+        target = sites_by_id[site_id]
         # Group this target's lagging blocks by repair source so each
         # (source, target) pair costs one batched transmission.
         by_source: Dict[SiteId, List[BlockIndex]] = {}
         for block in blocks:
-            source = _intact_source(protocol, block, exclude=site_id)
+            # Only a strictly newer copy may replace the target's: the
+            # group maximum can come from a corrupt copy, and pushing an
+            # older verified one would roll the target back.
+            source = _intact_source(
+                protocol, block, exclude=site_id,
+                at_least=target.block_version(block) + 1,
+            )
             if source is None:
-                continue  # no verified copy anywhere; stays reported
+                continue  # no newer verified copy; stays reported
             by_source.setdefault(source.site_id, []).append(block)
         for source_id in sorted(by_source):
             group = by_source[source_id]

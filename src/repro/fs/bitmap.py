@@ -19,12 +19,20 @@ class BlockBitmap:
     device on every mutation, so a crash of the *client* never leaves
     allocation state only in RAM.  Reads during :meth:`load` re-sync from
     the device.
+
+    Allocation is first fit (the lowest free data block) and amortised
+    O(1): a low-water cursor is kept in memory with the invariant that
+    every data block below it is allocated, so :meth:`allocate` scans
+    from the cursor, a whole byte at a time, and only :meth:`free` moves
+    it back.  The cursor is derived state; it never reaches the device.
     """
 
     def __init__(self, device: BlockDevice, superblock: SuperBlock) -> None:
         self._device = device
         self._sb = superblock
         self._bits = bytearray(superblock.bitmap_blocks * superblock.block_size)
+        #: Every data block below this index is allocated.
+        self._cursor = superblock.data_start
 
     # -- persistence ------------------------------------------------------
 
@@ -34,6 +42,7 @@ class BlockBitmap:
         for i in range(self._sb.bitmap_blocks):
             chunks.append(self._device.read_block(self._sb.bitmap_start + i))
         self._bits = bytearray(b"".join(chunks))
+        self._cursor = self._sb.data_start
 
     def _flush_block_of(self, index: BlockIndex) -> None:
         """Write back the bitmap block containing bit ``index``."""
@@ -65,11 +74,24 @@ class BlockBitmap:
 
     def allocate(self) -> BlockIndex:
         """Claim a free data block, lowest index first."""
-        for index in range(self._sb.data_start, self._sb.num_blocks):
-            if not self.is_allocated(index):
-                self._set(index, True)
-                return index
-        raise NoSpaceFSError("no free data blocks")
+        bits = self._bits
+        end = self._sb.num_blocks
+        index = self._cursor
+        while index < end:
+            byte = index >> 3
+            # Bits below ``index`` in its byte count as taken.
+            taken = bits[byte] | ((1 << (index & 7)) - 1)
+            if taken != 0xFF:
+                # The lowest clear bit of ``taken``.
+                index = (byte << 3) + (taken ^ (taken + 1)).bit_length() - 1
+                break
+            index = (byte + 1) << 3
+        if index >= end:
+            self._cursor = end
+            raise NoSpaceFSError("no free data blocks")
+        self._cursor = index + 1
+        self._set(index, True)
+        return index
 
     def free(self, index: BlockIndex) -> None:
         """Release a data block."""
@@ -80,12 +102,15 @@ class BlockBitmap:
             )
         if not self.is_allocated(index):
             raise FSFormatError(f"double free of block {index}")
+        # Lowered before the write-through, which may raise after the
+        # bit is already clear in memory.
+        self._cursor = min(self._cursor, index)
         self._set(index, False)
 
     def free_count(self) -> int:
         """Number of unallocated data blocks."""
-        return sum(
-            1
-            for index in range(self._sb.data_start, self._sb.num_blocks)
-            if not self.is_allocated(index)
-        )
+        start, end = self._sb.data_start, self._sb.num_blocks
+        bits = int.from_bytes(self._bits, "little") >> start
+        # A popcount; ``int.bit_count`` needs Python 3.10.
+        used = bin(bits & ((1 << (end - start)) - 1)).count("1")
+        return end - start - used

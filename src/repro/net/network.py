@@ -160,25 +160,6 @@ class Network:
     def interceptor(self) -> Optional[DeliveryInterceptor]:
         return self._interceptor
 
-    def _deliver(
-        self,
-        message: Message,
-        node: NetworkNode,
-        handler: Callable[[NetworkNode, Any], Any],
-        payload: Any,
-    ) -> Tuple[bool, Any]:
-        """Run ``handler`` at ``node`` unless the interceptor drops the
-        message; returns ``(delivered, result)``."""
-        hook = self._interceptor
-        if hook is not None and not hook.allow_delivery(
-            message, node.site_id
-        ):
-            return False, None
-        result = handler(node, payload)
-        if hook is not None:
-            hook.after_delivery(message, node.site_id)
-        return True, result
-
     # -- membership ---------------------------------------------------------
 
     def attach(self, node: NetworkNode) -> None:

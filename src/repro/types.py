@@ -44,10 +44,6 @@ class SiteState(enum.Enum):
     COMATOSE = "comatose"
     AVAILABLE = "available"
 
-    def is_operational(self) -> bool:
-        """Whether the site's process is running (comatose or available)."""
-        return self is not SiteState.FAILED
-
 
 class AddressingMode(enum.Enum):
     """Network addressing capability, per Section 5 of the paper.

@@ -158,6 +158,27 @@ class TestIntegrityScrub:
             with pytest.raises(CorruptBlockError):
                 site.store.read(1)
 
+    def test_scrub_never_rolls_a_copy_back(self):
+        """A corrupt copy still sets the group maximum, so a newer
+        intact copy is listed as lagging; scrub must not overwrite it
+        with an older verified one."""
+        cluster = make_cluster(SchemeName.VOTING)
+        protocol = cluster.protocol
+        copies = {0: (b"9", 69), 1: (b"0", 70), 2: (b"7", 67)}
+        for site_id, (fill, version) in copies.items():
+            protocol.site(site_id).store.write(
+                5, block_of(cluster, fill), version
+            )
+        self._corrupt(cluster, 1, 5)
+        scrub_replicas(protocol)
+        for site_id, (_fill, version) in copies.items():
+            assert protocol.site(site_id).block_version(5) >= version
+        # v69 stays where it was and is pushed up to the v67 copy.
+        for site_id in (0, 2):
+            site = protocol.site(site_id)
+            assert site.block_version(5) == 69
+            assert site.store.read(5) == block_of(cluster, b"9")
+
     def test_scrub_of_clean_group_reports_clean(self, scheme):
         cluster = make_cluster(scheme)
         protocol = cluster.protocol

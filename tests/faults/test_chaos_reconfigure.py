@@ -58,6 +58,18 @@ class TestAcceptance:
         assert result.catchup_messages > 0
         assert result.catchup_bytes > result.catchup_messages
 
+    def test_scrub_keeps_read_latest_write_with_batches(self):
+        # On this seed a scrub once pushed a verified v67 copy over a
+        # v69 one (the only v70 copy was corrupt), and two rolled-back
+        # sites then formed a read quorum on v67.
+        result = run_chaos(
+            ChaosConfig(
+                scheme=SchemeName.VOTING, seed=1, operations=3000,
+                reconfigure_rate=0.08, batch_rate=0.2,
+            )
+        )
+        assert result.ok, result.violations
+
     def test_summary_reports_the_view_changes(self):
         result = run_chaos(ChaosConfig(seed=1, **RECONFIG))
         assert "view changes" in result.summary()
